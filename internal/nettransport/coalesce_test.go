@@ -311,14 +311,14 @@ func TestCloseStopsTrackedTimers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.Send(1, core.TokenMsg{From: 1})    // self-send: one tracked timer
-	tr.After(sim.Duration(10), func() {}) // protocol timer: another
-	tr.Broadcast(core.TokenMsg{From: 1})  // loopback: a third
+	tr.Send(1, core.TokenMsg{From: 1})    // self-send: queued, no timer
+	tr.After(sim.Duration(10), func() {}) // protocol timer: the only one
+	tr.Broadcast(core.TokenMsg{From: 1})  // own copy: queued, no timer
 	tr.mu.Lock()
 	pending := len(tr.timers)
 	tr.mu.Unlock()
-	if pending != 3 {
-		t.Fatalf("tracked timers = %d, want 3", pending)
+	if pending != 1 {
+		t.Fatalf("tracked timers = %d, want 1 (only After schedules a timer)", pending)
 	}
 	tr.Close()
 	tr.mu.Lock()

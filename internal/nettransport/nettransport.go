@@ -45,6 +45,18 @@
 // process's single mailbox goroutine; connection readers, timer callbacks
 // and client operations enqueue closures onto that mailbox. Everything
 // else (address book, connection set) is guarded by one mutex.
+//
+// # Self-delivery
+//
+// A message a process sends to itself (Send to its own id, or its own
+// copy of a Broadcast) never touches a socket, a timer or the mailbox: it
+// joins a FIFO of self-deliveries that the loop drains right after the
+// current task returns — including any self-deliveries made while
+// draining — before it takes the next mailbox task. The protocols allow a
+// message to oneself any delay (unbounded in esync and abd, within
+// [0, δ] in sync), so delivering it at once is legal, and it makes every
+// quorum the node's own copy plus the fastest remote replies. Posting to
+// the bounded mailbox instead would deadlock a loop that fills it itself.
 package nettransport
 
 import (
@@ -255,9 +267,8 @@ type Transport struct {
 	// sessionSeq mints session pseudo-ids (negated, so they can never
 	// collide with real process ids, which are positive by construction).
 	sessionSeq int64
-	// timers tracks pending time.AfterFunc timers (self-sends, loopbacks,
-	// protocol After callbacks) so Close stops them instead of leaking
-	// each until it fires — the livenet fix from PR 2, mirrored.
+	// timers tracks pending protocol After timers so Close stops them
+	// instead of leaking each until it fires.
 	timers map[*time.Timer]struct{}
 	closed bool
 	// pendingInquiry is the encoded join INQUIRY to replay to peers
@@ -271,6 +282,17 @@ type Transport struct {
 	// (nil when sharding is disabled). Written under mu, read lock-free
 	// by the protocol on the loop goroutine.
 	view atomic.Pointer[placement.View]
+
+	// selfQ is the FIFO of pending self-deliveries (see the package
+	// comment), guarded by selfMu: the loop appends to it from handlers,
+	// off-loop callers may too. selfWake (one slot) wakes an idle loop
+	// when the FIFO turns non-empty. selfSpare is the loop-owned buffer of
+	// the last drained batch, swapped back in so steady-state self-sends
+	// reuse two backing arrays instead of allocating.
+	selfMu    sync.Mutex
+	selfQ     []core.Message
+	selfSpare []core.Message
+	selfWake  chan struct{}
 
 	active atomic.Bool
 	stats  Stats
@@ -302,6 +324,7 @@ func New(cfg Config) (*Transport, error) {
 		conns:    make(map[net.Conn]struct{}),
 		sessions: make(map[core.ProcessID]*clientSession),
 		timers:   make(map[*time.Timer]struct{}),
+		selfWake: make(chan struct{}, 1),
 	}
 	t.node = cfg.Factory(t, core.SpawnContext{
 		Bootstrap:   cfg.Bootstrap,
@@ -395,6 +418,12 @@ func (t *Transport) Close() {
 		}
 		t.timers = nil
 		t.mu.Unlock()
+		// Queued self-deliveries are dropped, not run: quit is already
+		// closed, so deliverSelf refuses new ones and the loop stops
+		// draining.
+		t.selfMu.Lock()
+		t.selfQ = nil
+		t.selfMu.Unlock()
 	})
 	t.wg.Wait()
 }
@@ -542,9 +571,10 @@ func (t *Transport) Now() sim.Time {
 }
 
 // Send implements core.Env: point-to-point, via the peer's outbound
-// queue. A send to self loops back through the mailbox after one tick —
-// the quorum protocols count their own replies, exactly as in the
-// simulator and livenet.
+// queue. A send to self joins the loop's self-delivery FIFO and is
+// delivered once the current task returns — the quorum protocols count
+// their own replies, as in the simulator and livenet, without waiting
+// for a tick.
 func (t *Transport) Send(to core.ProcessID, m core.Message) {
 	select {
 	case <-t.quit:
@@ -552,7 +582,7 @@ func (t *Transport) Send(to core.ProcessID, m core.Message) {
 	default:
 	}
 	if to == t.cfg.ID {
-		t.afterFunc(t.cfg.Tick, func() { t.enqueueDeliver(to, m) })
+		t.deliverSelf(m)
 		return
 	}
 	payload, err := t.encodeMsg(m)
@@ -584,9 +614,10 @@ func (t *Transport) Send(to core.ProcessID, m core.Message) {
 }
 
 // Broadcast implements core.Env: the frame goes to every process in the
-// address book, plus loopback to self after one tick (the simulator's and
-// livenet's contract). A join INQUIRY is additionally remembered for
-// replay to peers learned while the join is still running.
+// address book, and the process's own copy joins the self-delivery FIFO
+// (delivered once the current task returns). A join INQUIRY is
+// additionally remembered for replay to peers learned while the join is
+// still running.
 func (t *Transport) Broadcast(m core.Message) {
 	select {
 	case <-t.quit:
@@ -603,8 +634,7 @@ func (t *Transport) Broadcast(m core.Message) {
 		t.pendingInquiry = payload
 		t.mu.Unlock()
 	}
-	self := m
-	t.afterFunc(t.cfg.Tick, func() { t.enqueueDeliver(t.cfg.ID, self) })
+	t.deliverSelf(m)
 	t.mu.Lock()
 	ps := t.peersLocked()
 	t.mu.Unlock()
@@ -615,28 +645,22 @@ func (t *Transport) Broadcast(m core.Message) {
 
 // After implements core.Env: fn runs on the loop goroutine after d ticks,
 // suppressed once the process has shut down. The timer is tracked, so a
-// Close before it fires stops it rather than leaking it.
+// Close before it fires stops it rather than leaking it; After on a
+// closed transport is a no-op.
 func (t *Transport) After(d sim.Duration, fn func()) {
-	t.afterFunc(time.Duration(d)*t.cfg.Tick, func() { t.enqueue(fn) })
-}
-
-// afterFunc schedules fn on a tracked timer: Close stops every pending
-// one, so a torn-down transport holds no timer (or its goroutine, once
-// fired) alive until the deadline. No-op once closed.
-func (t *Transport) afterFunc(d time.Duration, fn func()) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
 		return
 	}
 	var tm *time.Timer
-	tm = time.AfterFunc(d, func() {
+	tm = time.AfterFunc(time.Duration(d)*t.cfg.Tick, func() {
 		// Untrack first. The map read of tm is ordered after the
 		// registration below by t.mu.
 		t.mu.Lock()
 		delete(t.timers, tm)
 		t.mu.Unlock()
-		fn()
+		t.enqueue(fn)
 	})
 	t.timers[tm] = struct{}{}
 }
@@ -751,6 +775,8 @@ func (t *Transport) encodeMsg(m core.Message) ([]byte, error) {
 	return wire.EncodeFrame(wire.Frame{Type: wire.FrameMsg, From: t.cfg.ID, Msg: m})
 }
 
+// loop is the process's event loop: one mailbox task at a time, each
+// followed by every self-delivery it (transitively) produced.
 func (t *Transport) loop() {
 	defer t.wg.Done()
 	for {
@@ -761,9 +787,60 @@ func (t *Transport) loop() {
 			} else {
 				tk.fn()
 			}
+		case <-t.selfWake:
 		case <-t.quit:
 			return
 		}
+		t.drainSelf()
+	}
+}
+
+// deliverSelf queues m for delivery to this process's own node. Safe from
+// any goroutine; dropped once the transport has stopped.
+func (t *Transport) deliverSelf(m core.Message) {
+	t.selfMu.Lock()
+	select {
+	case <-t.quit:
+		t.selfMu.Unlock()
+		return
+	default:
+	}
+	wake := len(t.selfQ) == 0
+	t.selfQ = append(t.selfQ, m)
+	t.selfMu.Unlock()
+	if wake {
+		// The loop drains the FIFO after every task anyway; the token only
+		// matters when the caller is off-loop and the loop is idle.
+		select {
+		case t.selfWake <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// drainSelf delivers queued self-deliveries in FIFO order until none are
+// left, including those the deliveries themselves queue, and stops as
+// soon as the transport shuts down. Loop goroutine only.
+func (t *Transport) drainSelf() {
+	for {
+		t.selfMu.Lock()
+		batch := t.selfQ
+		if len(batch) == 0 {
+			t.selfMu.Unlock()
+			return
+		}
+		t.selfQ = t.selfSpare
+		t.selfMu.Unlock()
+		for i := range batch {
+			select {
+			case <-t.quit:
+				return
+			default:
+			}
+			t.node.Deliver(t.cfg.ID, batch[i])
+			batch[i] = nil
+		}
+		t.selfSpare = batch[:0]
 	}
 }
 

@@ -235,12 +235,14 @@ func TestWriteBatchOverTCP(t *testing.T) {
 	}
 }
 
-// TestSendToSelfLoopsBack pins the loopback contract the quorum protocols
-// depend on (a node counts its own reply).
+// TestSendToSelfLoopsBack pins the self-delivery contract the quorum
+// protocols depend on (a node counts its own reply).
 func TestSendToSelfLoopsBack(t *testing.T) {
 	ts := startCluster(t, 1, esyncreg.Factory(esyncreg.Options{}), 5)
 	// n=1: the majority is 1, satisfied purely by the node's own reply —
-	// the operation only completes if self-send loops back.
+	// the operation only completes if a message to self is delivered
+	// (through the loop's self-delivery FIFO, once the sending handler
+	// returns).
 	if _, err := ts[0].WriteKey(0, 5, opTimeout); err != nil {
 		t.Fatalf("write: %v", err)
 	}
